@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flexer_bench::DatasetKind;
-use flexer_datasets::NGramBlocker;
+use flexer_block::NGramBlocker;
 use flexer_types::Scale;
 
 fn bench_blocking(c: &mut Criterion) {

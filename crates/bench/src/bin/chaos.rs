@@ -10,7 +10,7 @@
 //! cargo run --release --bin chaos -- [--records N] [--seed N] [--json]
 //! ```
 //!
-//! Scenarios, in order — an in-process [`ShardedResolutionService`]
+//! Scenarios, in order — an in-process [`ResolutionService`]
 //! replays the same call sequence and **every** networked answer must be
 //! bit-identical to it, because one in-sync replica per shard stays
 //! reachable throughout:
@@ -40,22 +40,12 @@
 //! (scenario throughputs, fault-latency percentiles, router fault
 //! counters) for the `compare` gate.
 
+use flexer_bench::fixture::{self, Fixture, FixtureConfig, INTENTS};
 use flexer_bench::json::{write_bench_json, JsonObject};
-use flexer_core::{FlexErModel, InParallelModel, PipelineContext};
-use flexer_datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
-use flexer_datasets::intents::IntentDef;
-use flexer_datasets::mixture::{assemble_benchmark, component, sample_candidate_pairs, PairClass};
-use flexer_datasets::perturb::NoiseConfig;
-use flexer_datasets::taxonomy::{amazonmi_spec, Taxonomy, TaxonomyConfig};
+use flexer_bench::proc::{sibling_bin, spawn_listening, ChildProc};
 use flexer_obs::Histogram;
-use flexer_serve::{
-    FaultMode, FaultProxy, IngestReport, RouterClient, ServeConfig, ShardedResolutionService,
-};
-use flexer_store::IndexKind;
-use flexer_types::{ResolveQuery, Scale, ShardConfig, WireIngestReport};
-use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use flexer_serve::{FaultMode, FaultProxy, ResolutionService, RouterClient, ServeConfig};
+use flexer_types::{ResolveQuery, ShardConfig, WireIngestReport};
 use std::time::{Duration, Instant};
 
 /// Training candidate pairs (modest: the harness measures fault paths).
@@ -89,46 +79,16 @@ fn main() {
     );
 
     // --- Offline phase: train once, pre-shard the snapshot, save it.
-    let mut rng = {
-        use rand::SeedableRng;
-        rand::rngs::StdRng::seed_from_u64(args.seed)
-    };
-    let taxonomy = Taxonomy::from_spec(&amazonmi_spec(), TaxonomyConfig::at_scale(Scale::Small));
-    let catalog = Catalog::generate(
-        taxonomy,
-        &CatalogConfig {
-            n_records: args.n_records,
-            record_counts: RecordCountDist([0.35, 0.35, 0.2, 0.1]),
-            noise: NoiseConfig::default(),
-        },
-        &mut rng,
-    );
-    let sampled = sample_candidate_pairs(
-        &catalog,
-        &[
-            component(PairClass::Duplicate, 0.25),
-            component(PairClass::SameFamilyDiffProduct(None), 0.45),
-            component(PairClass::DiffMain(None), 0.3),
-        ],
-        TRAIN_PAIRS,
-        &mut rng,
-    );
-    let bench = assemble_benchmark(
-        "chaos-corpus",
-        &catalog,
-        &[(IntentDef::Equivalence, "Eq."), (IntentDef::SameBrand, "Brand")],
-        sampled.candidates,
-        args.seed,
-    );
-    let config = flexer_core::FlexErConfig::fast().with_seed(args.seed);
-    let ctx = PipelineContext::new(bench, &config.matcher).expect("valid benchmark");
-    eprintln!("[chaos] training on {} pairs...", ctx.benchmark.n_pairs());
-    let base = InParallelModel::fit(&ctx, &config.matcher).expect("base fit");
-    let model =
-        FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).expect("flexer fit");
-    let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).expect("export");
+    let Fixture { catalog, snapshot, .. } = fixture::train(&FixtureConfig {
+        name: "chaos-corpus",
+        n_records: args.n_records,
+        train_pairs: TRAIN_PAIRS,
+        intents: &INTENTS[..2],
+        k: None,
+        seed: args.seed,
+    });
     let snapshot =
-        ShardedResolutionService::new(snapshot, ServeConfig::default(), ShardConfig::of(N_SHARDS))
+        ResolutionService::sharded(snapshot, ServeConfig::default(), ShardConfig::of(N_SHARDS))
             .expect("shard the snapshot")
             .to_snapshot();
     let snapshot_path =
@@ -136,12 +96,8 @@ fn main() {
     snapshot.save(&snapshot_path).expect("save sharded snapshot");
 
     // --- The in-process reference replaying every call bit-for-bit.
-    let mut reference = ShardedResolutionService::new(
-        snapshot.clone(),
-        ServeConfig::default(),
-        ShardConfig::of(N_SHARDS),
-    )
-    .expect("load reference service");
+    let mut reference = ResolutionService::new(snapshot.clone(), ServeConfig::default())
+        .expect("load reference service");
     let n_intents = reference.n_intents();
 
     // --- Boot the topology: per shard, replica A direct + replica B
@@ -211,7 +167,7 @@ fn main() {
     // scenario's resolve throughput.
     let drive = |label: &str,
                  client: &mut RouterClient,
-                 reference: &mut ShardedResolutionService,
+                 reference: &mut ResolutionService,
                  lat: &mut Histogram| {
         let t0 = Instant::now();
         for (i, query) in queries.iter().enumerate() {
@@ -272,7 +228,8 @@ fn main() {
         let over_wire = client.ingest_batch(batch.to_vec()).expect("partition ingest");
         let batch_refs: Vec<&str> = batch.iter().map(String::as_str).collect();
         let in_process = reference.ingest_batch(&batch_refs);
-        assert_eq!(over_wire, as_wire(&in_process), "partition ingest report divergence");
+        let in_process: Vec<WireIngestReport> = in_process.iter().map(Into::into).collect();
+        assert_eq!(over_wire, in_process, "partition ingest report divergence");
     }
     let partition_qps = drive("partition", &mut client, &mut reference, &mut fault_lat);
 
@@ -375,60 +332,6 @@ fn main() {
         let path = write_bench_json("chaos", &doc).expect("write BENCH_chaos.json");
         eprintln!("[chaos] wrote {}", path.display());
     }
-}
-
-fn as_wire(reports: &[IngestReport]) -> Vec<WireIngestReport> {
-    reports
-        .iter()
-        .map(|r| WireIngestReport {
-            record: r.record as u64,
-            first_pair: r.first_pair as u64,
-            n_pairs: r.n_pairs as u64,
-            n_suppressed: r.n_suppressed as u64,
-        })
-        .collect()
-}
-
-/// A spawned child plus the `LISTEN <addr>` it printed on boot.
-struct ChildProc {
-    child: Child,
-    addr: String,
-}
-
-/// Path of a sibling binary (the serve bins land in the same
-/// `target/<profile>/` directory as this harness).
-fn sibling_bin(name: &str) -> PathBuf {
-    let dir =
-        std::env::current_exe().expect("current_exe").parent().expect("bin dir").to_path_buf();
-    let path = dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
-    assert!(
-        path.exists(),
-        "{} not found — build it first: cargo build --release -p flexer-serve --bins",
-        path.display()
-    );
-    path
-}
-
-/// Spawns a serve binary and blocks until it prints its bound address.
-fn spawn_listening(bin: &PathBuf, args: &[&str]) -> ChildProc {
-    let mut child = Command::new(bin)
-        .args(args)
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap_or_else(|e| panic!("spawn {}: {e}", bin.display()));
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    for line in &mut lines {
-        let line = line.expect("child stdout");
-        if let Some(addr) = line.strip_prefix("LISTEN ") {
-            let addr = addr.trim().to_string();
-            // Keep draining stdout so the child never blocks on the pipe.
-            std::thread::spawn(move || for _ in lines {});
-            return ChildProc { child, addr };
-        }
-    }
-    let status = child.wait();
-    panic!("{} exited ({status:?}) before printing LISTEN", bin.display());
 }
 
 struct Args {

@@ -2,7 +2,7 @@
 //! pre-shards the snapshot, then boots the **real processes** — N
 //! `shard-server`s plus a `router` (from `target/<profile>/`, next to
 //! this binary) — and drives cold / ingest / warm load over TCP while an
-//! in-process [`ShardedResolutionService`] replays the exact same call
+//! in-process [`ResolutionService`] replays the exact same call
 //! sequence. Every networked answer must be **bit-identical** to the
 //! in-process one; what the harness measures is what the wire adds.
 //!
@@ -29,22 +29,13 @@
 //! clean `Shutdown` must tear the whole tree down with zero exit codes.
 //! `--json` writes `BENCH_cluster.json` for the `compare` gate.
 
+use flexer_bench::fixture::{self, Fixture, FixtureConfig, INTENTS};
 use flexer_bench::json::{array, write_bench_json, JsonObject};
-use flexer_core::{FlexErModel, InParallelModel, PipelineContext};
-use flexer_datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
-use flexer_datasets::intents::IntentDef;
-use flexer_datasets::mixture::{assemble_benchmark, component, sample_candidate_pairs, PairClass};
-use flexer_datasets::perturb::NoiseConfig;
-use flexer_datasets::taxonomy::{amazonmi_spec, Taxonomy, TaxonomyConfig};
+use flexer_bench::proc::{sibling_bin, spawn_listening, ChildProc};
 use flexer_obs::Histogram;
-use flexer_serve::{IngestReport, RouterClient, ServeConfig, ShardedResolutionService};
-use flexer_store::IndexKind;
-use flexer_types::{ResolveQuery, Scale, ShardConfig, WireIngestReport};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use flexer_serve::{ResolutionService, RouterClient, ServeConfig};
+use flexer_types::{ResolveQuery, ShardConfig, WireIngestReport};
+use rand::Rng;
 use std::time::Instant;
 
 /// Training candidate pairs (modest: the harness measures serving).
@@ -73,48 +64,17 @@ fn main() {
     );
 
     // --- Offline phase: train once, pre-shard the snapshot, save it.
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let taxonomy = Taxonomy::from_spec(&amazonmi_spec(), TaxonomyConfig::at_scale(Scale::Small));
-    let catalog = Catalog::generate(
-        taxonomy,
-        &CatalogConfig {
-            n_records: args.n_records,
-            record_counts: RecordCountDist([0.35, 0.35, 0.2, 0.1]),
-            noise: NoiseConfig::default(),
-        },
-        &mut rng,
-    );
-    let sampled = sample_candidate_pairs(
-        &catalog,
-        &[
-            component(PairClass::Duplicate, 0.25),
-            component(PairClass::SameFamilyDiffProduct(None), 0.45),
-            component(PairClass::DiffMain(None), 0.3),
-        ],
-        TRAIN_PAIRS,
-        &mut rng,
-    );
-    let bench = assemble_benchmark(
-        "cluster-corpus",
-        &catalog,
-        &[
-            (IntentDef::Equivalence, "Eq."),
-            (IntentDef::SameBrand, "Brand"),
-            (IntentDef::SameMainCategory, "Main-Cat."),
-        ],
-        sampled.candidates,
-        args.seed,
-    );
-    let config = flexer_core::FlexErConfig::fast().with_seed(args.seed);
-    let ctx = PipelineContext::new(bench, &config.matcher).expect("valid benchmark");
-    eprintln!("[cluster] training on {} pairs...", ctx.benchmark.n_pairs());
+    let Fixture { catalog, snapshot, mut rng, .. } = fixture::train(&FixtureConfig {
+        name: "cluster-corpus",
+        n_records: args.n_records,
+        train_pairs: TRAIN_PAIRS,
+        intents: &INTENTS,
+        k: None,
+        seed: args.seed,
+    });
     let t0 = Instant::now();
-    let base = InParallelModel::fit(&ctx, &config.matcher).expect("base fit");
-    let model =
-        FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).expect("flexer fit");
-    let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).expect("export");
     // Pre-shard: the deployable artifact both sides load below.
-    let snapshot = ShardedResolutionService::new(
+    let snapshot = ResolutionService::sharded(
         snapshot,
         ServeConfig::default(),
         ShardConfig::of(args.n_shards),
@@ -125,18 +85,14 @@ fn main() {
         std::env::temp_dir().join(format!("flexer-cluster-{}.flexer", std::process::id()));
     snapshot.save(&snapshot_path).expect("save sharded snapshot");
     eprintln!(
-        "[cluster] trained + sharded + saved in {:.1}s ({})",
+        "[cluster] sharded + saved in {:.1}s ({})",
         t0.elapsed().as_secs_f64(),
         snapshot_path.display()
     );
 
     // --- The in-process reference replaying every call bit-for-bit.
-    let mut reference = ShardedResolutionService::new(
-        snapshot.clone(),
-        ServeConfig::default(),
-        ShardConfig::of(args.n_shards),
-    )
-    .expect("load reference service");
+    let mut reference = ResolutionService::new(snapshot.clone(), ServeConfig::default())
+        .expect("load reference service");
     let n_intents = reference.n_intents();
 
     // --- Boot the real processes: N shard servers, then the router.
@@ -257,7 +213,8 @@ fn main() {
         let over_wire = client.ingest_batch(batch.to_vec()).expect("ingest batch");
         let batch_refs: Vec<&str> = batch.iter().map(String::as_str).collect();
         let in_process = reference.ingest_batch(&batch_refs);
-        assert_eq!(over_wire, as_wire(&in_process), "ingest report divergence");
+        let in_process: Vec<WireIngestReport> = in_process.iter().map(Into::into).collect();
+        assert_eq!(over_wire, in_process, "ingest report divergence");
     }
     let ingest_per_sec = titles.len() as f64 / t0.elapsed().as_secs_f64();
     println!(
@@ -386,60 +343,6 @@ fn main() {
         let path = write_bench_json("cluster", &doc).expect("write BENCH_cluster.json");
         eprintln!("[cluster] wrote {}", path.display());
     }
-}
-
-fn as_wire(reports: &[IngestReport]) -> Vec<WireIngestReport> {
-    reports
-        .iter()
-        .map(|r| WireIngestReport {
-            record: r.record as u64,
-            first_pair: r.first_pair as u64,
-            n_pairs: r.n_pairs as u64,
-            n_suppressed: r.n_suppressed as u64,
-        })
-        .collect()
-}
-
-/// A spawned child plus the `LISTEN <addr>` it printed on boot.
-struct ChildProc {
-    child: Child,
-    addr: String,
-}
-
-/// Path of a sibling binary (the serve bins land in the same
-/// `target/<profile>/` directory as this harness).
-fn sibling_bin(name: &str) -> PathBuf {
-    let dir =
-        std::env::current_exe().expect("current_exe").parent().expect("bin dir").to_path_buf();
-    let path = dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
-    assert!(
-        path.exists(),
-        "{} not found — build it first: cargo build --release -p flexer-serve --bins",
-        path.display()
-    );
-    path
-}
-
-/// Spawns a serve binary and blocks until it prints its bound address.
-fn spawn_listening(bin: &PathBuf, args: &[&str]) -> ChildProc {
-    let mut child = Command::new(bin)
-        .args(args)
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap_or_else(|e| panic!("spawn {}: {e}", bin.display()));
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    for line in &mut lines {
-        let line = line.expect("child stdout");
-        if let Some(addr) = line.strip_prefix("LISTEN ") {
-            let addr = addr.trim().to_string();
-            // Keep draining stdout so the child never blocks on the pipe.
-            std::thread::spawn(move || for _ in lines {});
-            return ChildProc { child, addr };
-        }
-    }
-    let status = child.wait();
-    panic!("{} exited ({status:?}) before printing LISTEN", bin.display());
 }
 
 /// Resident-set size of a process in kB, from `/proc/<pid>/status`

@@ -26,19 +26,12 @@
 //! JSON shows *where* an ingest regression lives, not just that one
 //! happened.
 
+use flexer_bench::fixture::{self, Fixture, FixtureConfig, INTENTS};
 use flexer_bench::json::{write_bench_json, JsonObject};
-use flexer_core::{FlexErModel, InParallelModel, PipelineContext};
-use flexer_datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
-use flexer_datasets::intents::IntentDef;
-use flexer_datasets::mixture::{assemble_benchmark, component, sample_candidate_pairs, PairClass};
-use flexer_datasets::perturb::NoiseConfig;
-use flexer_datasets::taxonomy::{amazonmi_spec, Taxonomy, TaxonomyConfig};
-use flexer_datasets::{CandidateGenerator, NGramBlocker};
+use flexer_block::{CandidateGenerator, NGramBlocker};
 use flexer_serve::{ResolutionService, ServeConfig};
-use flexer_store::IndexKind;
-use flexer_types::{BlockingReport, Scale};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use flexer_types::BlockingReport;
+use rand::Rng;
 use std::time::Instant;
 
 /// Training candidate pairs sampled over the corpus (kept modest: the
@@ -83,50 +76,15 @@ struct Measurement {
 
 fn measure(n_records: usize, seed: u64) -> Measurement {
     // --- Offline phase: catalogue, blocked benchmark, training, snapshot.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let taxonomy = Taxonomy::from_spec(&amazonmi_spec(), TaxonomyConfig::at_scale(Scale::Small));
-    let catalog = Catalog::generate(
-        taxonomy,
-        &CatalogConfig {
-            n_records,
-            record_counts: RecordCountDist([0.35, 0.35, 0.2, 0.1]),
-            noise: NoiseConfig::default(),
-        },
-        &mut rng,
-    );
-    let sampled = sample_candidate_pairs(
-        &catalog,
-        &[
-            component(PairClass::Duplicate, 0.25),
-            component(PairClass::SameFamilyDiffProduct(None), 0.45),
-            component(PairClass::DiffMain(None), 0.3),
-        ],
-        TRAIN_PAIRS,
-        &mut rng,
-    );
-    let bench = assemble_benchmark(
-        "ingest-corpus",
-        &catalog,
-        &[
-            (IntentDef::Equivalence, "Eq."),
-            (IntentDef::SameBrand, "Brand"),
-            (IntentDef::SameMainCategory, "Main-Cat."),
-        ],
-        sampled.candidates,
+    let Fixture { catalog, ctx, snapshot, mut rng, train_secs } = fixture::train(&FixtureConfig {
+        name: "ingest-corpus",
+        n_records,
+        train_pairs: TRAIN_PAIRS,
+        intents: &INTENTS,
+        k: None,
         seed,
-    );
-    let config = flexer_core::FlexErConfig::fast().with_seed(seed);
-    let ctx = PipelineContext::new(bench, &config.matcher).expect("valid benchmark");
-    eprintln!("[ingest] n={n_records}: training on {} pairs...", ctx.benchmark.n_pairs());
-    let t0 = Instant::now();
-    let base = InParallelModel::fit(&ctx, &config.matcher).expect("base fit");
-    let model =
-        FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).expect("flexer fit");
-    let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).expect("export");
-    eprintln!(
-        "[ingest] n={n_records}: trained + snapshotted in {:.1}s",
-        t0.elapsed().as_secs_f64()
-    );
+    });
+    eprintln!("[ingest] n={n_records}: trained in {train_secs:.1}s");
 
     // The corpus-level suppression report of the same blocker the service
     // runs, with golden-pair recall against the equivalence intent.

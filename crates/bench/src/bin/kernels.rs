@@ -16,20 +16,12 @@
 //! packed rebuild. Below 10k records the ratio is reported but not
 //! enforced (small corpora under-fill the kernel).
 
+use flexer_bench::fixture::{self, Fixture, FixtureConfig, INTENTS};
 use flexer_bench::json::{array, write_bench_json, JsonObject};
-use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
-use flexer_datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
-use flexer_datasets::intents::IntentDef;
-use flexer_datasets::mixture::{assemble_benchmark, component, sample_candidate_pairs, PairClass};
-use flexer_datasets::perturb::NoiseConfig;
-use flexer_datasets::taxonomy::{amazonmi_spec, Taxonomy, TaxonomyConfig};
 use flexer_nn::kernels::{matmul_packed_into, set_packed_kernels, Epilogue, PackedB};
 use flexer_nn::Matrix;
 use flexer_serve::{ResolutionService, ServeConfig};
-use flexer_store::IndexKind;
-use flexer_types::{ResolveQuery, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use flexer_types::ResolveQuery;
 use std::time::Instant;
 
 /// Training candidate pairs (matches the `serve` harness).
@@ -226,44 +218,14 @@ fn main() {
     // --- End-to-end: the same offline phase as the `serve` harness, then
     // the warm record-resolve window under each toggle state.
     eprintln!("[kernels] training over {n_records} records, seed {seed}...");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let taxonomy = Taxonomy::from_spec(&amazonmi_spec(), TaxonomyConfig::at_scale(Scale::Small));
-    let catalog = Catalog::generate(
-        taxonomy,
-        &CatalogConfig {
-            n_records,
-            record_counts: RecordCountDist([0.35, 0.35, 0.2, 0.1]),
-            noise: NoiseConfig::default(),
-        },
-        &mut rng,
-    );
-    let sampled = sample_candidate_pairs(
-        &catalog,
-        &[
-            component(PairClass::Duplicate, 0.25),
-            component(PairClass::SameFamilyDiffProduct(None), 0.45),
-            component(PairClass::DiffMain(None), 0.3),
-        ],
-        TRAIN_PAIRS,
-        &mut rng,
-    );
-    let bench = assemble_benchmark(
-        "kernels-corpus",
-        &catalog,
-        &[
-            (IntentDef::Equivalence, "Eq."),
-            (IntentDef::SameBrand, "Brand"),
-            (IntentDef::SameMainCategory, "Main-Cat."),
-        ],
-        sampled.candidates,
+    let Fixture { snapshot, .. } = fixture::train(&FixtureConfig {
+        name: "kernels-corpus",
+        n_records,
+        train_pairs: TRAIN_PAIRS,
+        intents: &INTENTS,
+        k: Some(6),
         seed,
-    );
-    let config = FlexErConfig::fast().with_seed(seed).with_k(6);
-    let ctx = PipelineContext::new(bench, &config.matcher).expect("valid benchmark");
-    let base = InParallelModel::fit(&ctx, &config.matcher).expect("base fit");
-    let model =
-        FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).expect("flexer fit");
-    let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).expect("export");
+    });
     let serve_config = ServeConfig {
         exhaustive: true,
         cache_capacity: (4 * n_records).max(1024),

@@ -35,18 +35,10 @@
 //! span guard on a *disabled* recorder must be cheap enough that a
 //! pessimistic per-query touch count stays under 5% of the warm p50.
 
+use flexer_bench::fixture::{self, Fixture, FixtureConfig, INTENTS};
 use flexer_bench::json::{write_bench_json, JsonObject};
-use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
-use flexer_datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
-use flexer_datasets::intents::IntentDef;
-use flexer_datasets::mixture::{assemble_benchmark, component, sample_candidate_pairs, PairClass};
-use flexer_datasets::perturb::NoiseConfig;
-use flexer_datasets::taxonomy::{amazonmi_spec, Taxonomy, TaxonomyConfig};
 use flexer_serve::{ResolutionService, ServeConfig};
-use flexer_store::IndexKind;
-use flexer_types::{ResolveQuery, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use flexer_types::ResolveQuery;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -108,51 +100,18 @@ fn main() {
 
     // --- Offline phase: catalogue, benchmark, training, snapshot (the
     // part a production deployment amortizes across every query).
-    let mut rng = StdRng::seed_from_u64(seed);
-    let taxonomy = Taxonomy::from_spec(&amazonmi_spec(), TaxonomyConfig::at_scale(Scale::Small));
-    let catalog = Catalog::generate(
-        taxonomy,
-        &CatalogConfig {
-            n_records,
-            record_counts: RecordCountDist([0.35, 0.35, 0.2, 0.1]),
-            noise: NoiseConfig::default(),
-        },
-        &mut rng,
-    );
-    let sampled = sample_candidate_pairs(
-        &catalog,
-        &[
-            component(PairClass::Duplicate, 0.25),
-            component(PairClass::SameFamilyDiffProduct(None), 0.45),
-            component(PairClass::DiffMain(None), 0.3),
-        ],
-        TRAIN_PAIRS,
-        &mut rng,
-    );
-    let bench = assemble_benchmark(
-        "serve-corpus",
-        &catalog,
-        &[
-            (IntentDef::Equivalence, "Eq."),
-            (IntentDef::SameBrand, "Brand"),
-            (IntentDef::SameMainCategory, "Main-Cat."),
-        ],
-        sampled.candidates,
-        seed,
-    );
     // Fast training dims (the corpus, not the model, is the scale axis),
     // but the paper-default intra-layer fan-in k = 6 rather than the test
     // preset's k = 4: serving cost is dominated by the neighbour fan-in,
     // so benching at the production k keeps the numbers representative.
-    let config = FlexErConfig::fast().with_seed(seed).with_k(6);
-    let ctx = PipelineContext::new(bench, &config.matcher).expect("valid benchmark");
-    eprintln!("[serve] training on {} pairs...", ctx.benchmark.n_pairs());
-    let t0 = Instant::now();
-    let base = InParallelModel::fit(&ctx, &config.matcher).expect("base fit");
-    let model =
-        FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).expect("flexer fit");
-    let train_secs = t0.elapsed().as_secs_f64();
-    let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).expect("export");
+    let Fixture { snapshot, train_secs, .. } = fixture::train(&FixtureConfig {
+        name: "serve-corpus",
+        n_records,
+        train_pairs: TRAIN_PAIRS,
+        intents: &INTENTS,
+        k: Some(6),
+        seed,
+    });
     let bytes = snapshot.to_bytes();
     println!("trained in {train_secs:.1}s; snapshot = {} bytes", bytes.len());
 

@@ -1,6 +1,6 @@
 //! Shard-sweep harness for the sharded resolution tier: trains one model
 //! over a large record corpus, then for each shard count loads a
-//! [`ShardedResolutionService`] from the same snapshot and measures
+//! sharded [`ResolutionService`] from the same snapshot and measures
 //! batched ingest throughput, record-resolve QPS and — the number
 //! sharding exists to shrink — the **shard-local candidate work** a
 //! single shard performs per ingest.
@@ -21,20 +21,13 @@
 //! breakdown of its query loop, which must cover 90–105% of the
 //! end-to-end resolve time (same bar as the serve harness).
 
+use flexer_bench::fixture::{self, Fixture, FixtureConfig, INTENTS};
 use flexer_bench::json::{array, write_bench_json, JsonObject};
 use flexer_block::golden_pair_recall;
-use flexer_core::{FlexErModel, InParallelModel, PipelineContext};
-use flexer_datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
-use flexer_datasets::intents::IntentDef;
-use flexer_datasets::mixture::{assemble_benchmark, component, sample_candidate_pairs, PairClass};
-use flexer_datasets::perturb::NoiseConfig;
-use flexer_datasets::taxonomy::{amazonmi_spec, Taxonomy, TaxonomyConfig};
-use flexer_datasets::{CandidateGenerator, NGramBlocker};
-use flexer_serve::{ServeConfig, ShardedResolutionService};
-use flexer_store::IndexKind;
-use flexer_types::{ResolveQuery, Scale, ShardConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use flexer_block::{CandidateGenerator, NGramBlocker};
+use flexer_serve::{ResolutionService, ServeConfig};
+use flexer_types::{ResolveQuery, ShardConfig};
+use rand::Rng;
 use std::time::Instant;
 
 /// Training candidate pairs sampled over the corpus (modest: the sweep
@@ -60,47 +53,15 @@ fn main() {
     );
 
     // --- Offline phase: catalogue, blocked benchmark, training, snapshot.
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let taxonomy = Taxonomy::from_spec(&amazonmi_spec(), TaxonomyConfig::at_scale(Scale::Small));
-    let catalog = Catalog::generate(
-        taxonomy,
-        &CatalogConfig {
-            n_records: args.n_records,
-            record_counts: RecordCountDist([0.35, 0.35, 0.2, 0.1]),
-            noise: NoiseConfig::default(),
-        },
-        &mut rng,
-    );
-    let sampled = sample_candidate_pairs(
-        &catalog,
-        &[
-            component(PairClass::Duplicate, 0.25),
-            component(PairClass::SameFamilyDiffProduct(None), 0.45),
-            component(PairClass::DiffMain(None), 0.3),
-        ],
-        TRAIN_PAIRS,
-        &mut rng,
-    );
-    let bench = assemble_benchmark(
-        "shard-corpus",
-        &catalog,
-        &[
-            (IntentDef::Equivalence, "Eq."),
-            (IntentDef::SameBrand, "Brand"),
-            (IntentDef::SameMainCategory, "Main-Cat."),
-        ],
-        sampled.candidates,
-        args.seed,
-    );
-    let config = flexer_core::FlexErConfig::fast().with_seed(args.seed);
-    let ctx = PipelineContext::new(bench, &config.matcher).expect("valid benchmark");
-    eprintln!("[shard] training on {} pairs...", ctx.benchmark.n_pairs());
-    let t0 = Instant::now();
-    let base = InParallelModel::fit(&ctx, &config.matcher).expect("base fit");
-    let model =
-        FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).expect("flexer fit");
-    let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).expect("export");
-    eprintln!("[shard] trained + snapshotted in {:.1}s", t0.elapsed().as_secs_f64());
+    let Fixture { catalog, ctx, snapshot, mut rng, train_secs } = fixture::train(&FixtureConfig {
+        name: "shard-corpus",
+        n_records: args.n_records,
+        train_pairs: TRAIN_PAIRS,
+        intents: &INTENTS,
+        k: None,
+        seed: args.seed,
+    });
+    eprintln!("[shard] trained in {train_secs:.1}s");
 
     // Corpus-level blocking accounting, including golden-pair recall
     // against the equivalence intent's entity map (ROADMAP's recall
@@ -137,7 +98,7 @@ fn main() {
     let mut rows: Vec<SweepRow> = Vec::new();
     let mut reference_reports: Option<Vec<flexer_serve::IngestReport>> = None;
     for &n_shards in &args.shards {
-        let mut svc = ShardedResolutionService::new(
+        let mut svc = ResolutionService::sharded(
             snapshot.clone(),
             ServeConfig::default(),
             ShardConfig::of(n_shards),

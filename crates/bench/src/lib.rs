@@ -10,7 +10,9 @@
 #![warn(missing_docs)]
 
 pub mod compare;
+pub mod fixture;
 pub mod json;
+pub mod proc;
 
 use flexer_core::prelude::*;
 use flexer_datasets::{AmazonMiConfig, WalmartAmazonConfig, WdcConfig};

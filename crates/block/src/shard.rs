@@ -237,6 +237,14 @@ impl ShardedBlocker {
     /// monolithic [`BlockerState::candidates`] over the same records, for
     /// any shard count.
     pub fn candidates(&self, title: &str) -> Option<Vec<RecordId>> {
+        // A single shard holds every record under its global id (its
+        // member list is the identity) and its buckets are the global
+        // ones, so its own query is the answer — without the plan,
+        // fan-out and merge round, and recorded under the monolithic
+        // blocker's `block.*` spans.
+        if let [only] = self.shards.as_slice() {
+            return only.candidates(title);
+        }
         let rec = flexer_obs::global();
         let query = plan_query(&self.gen, &self.gram_counts, title)?;
         let t0 = rec.is_enabled().then(std::time::Instant::now);

@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod amazonmi;
-pub mod blocking;
 pub mod catalog;
 pub mod intents;
 pub mod mixture;
@@ -31,8 +30,8 @@ pub mod walmart_amazon;
 pub mod wdc;
 
 pub use amazonmi::AmazonMiConfig;
-pub use blocking::{BlockingOutcome, CandidateGenerator, NGramBlocker};
 pub use catalog::{Catalog, Product};
+pub use flexer_block::{BlockingOutcome, CandidateGenerator, NGramBlocker};
 pub use mixture::blocked_benchmark;
 pub use taxonomy::{Family, Taxonomy, TaxonomyConfig};
 pub use walmart_amazon::WalmartAmazonConfig;

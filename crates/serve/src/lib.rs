@@ -22,6 +22,13 @@
 //!   intent; corpus pairs are served from the transductive warm forward,
 //!   bit-identical to the batch model.
 //!
+//! One service type, [`ResolutionService`], serves every topology. Its
+//! blocking tier is always an N-shard `ShardedBlocker` — N = 1 for a
+//! monolithic snapshot, any N via [`ResolutionService::sharded`] — with
+//! bit-identical answers for every N. The networked [`Router`] runs the
+//! same service's scoring tier and fans candidate queries out to
+//! [`ShardServer`] processes instead of local shards.
+//!
 //! Batched requests fan out through `flexer-par` (deterministic,
 //! bit-identical at any thread count) and the service keeps p50/p99
 //! latency counters plus cache hit rates ([`ServeMetrics`]).

@@ -6,8 +6,8 @@
 //! all boot the same shard of the same snapshot, so any of them can
 //! answer any shard-local query **bit-identically** — which is what makes
 //! failover a pure availability move: as long as one replica of every
-//! shard is reachable, routed answers are byte-for-byte the answers the
-//! in-process `ShardedResolutionService` would give.
+//! shard is reachable, routed answers are byte-for-byte the answers an
+//! in-process `ResolutionService` over the same snapshot would give.
 //!
 //! # Reads: failover within a budget
 //!

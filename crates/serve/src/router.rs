@@ -2,19 +2,20 @@
 //!
 //! # Topology
 //!
-//! The router owns everything *global*: the shared scoring tier (the same
-//! [`ResolutionService`] the in-process [`crate::ShardedResolutionService`]
-//! wraps, with its blocker slot holding the `Exhaustive` sentinel), the
-//! global stop-gram counts, and the cross-shard candidate merge. Each of
+//! The router owns everything *global*: the shared scoring tier (a
+//! [`ResolutionService`] built without a local blocking tier — the
+//! router's shard fan-out supplies its candidates), the global stop-gram
+//! counts, and the cross-shard candidate merge. Each of
 //! the N shard slots is served by **R replicas** — shard-server processes
 //! that all booted the same shard of the same snapshot — behind a
 //! [`ReplicaSet`]. A candidate query is planned once against global state
 //! ([`flexer_block::plan_query`]), fanned out concurrently — one thread
 //! per shard, one framed request to the healthiest replica with failover
 //! to its siblings — and merged back ([`flexer_block::merge_candidates`]).
-//! Those are the exact functions the in-process service runs, so router
-//! answers are **bit-identical** to `ShardedResolutionService` over the
-//! same snapshot and call sequence whenever at least one in-sync replica
+//! Those are the exact functions the in-process service's `ShardedBlocker`
+//! runs, so router answers are **bit-identical** to an in-process
+//! [`ResolutionService`] over the same snapshot and call sequence, for
+//! any shard count, whenever at least one in-sync replica
 //! per shard answers (asserted in `tests/cluster.rs` and the chaos
 //! bench).
 //!
@@ -39,7 +40,7 @@
 //! a full lane blocks further ingest connections (backpressure) without
 //! slowing reads, and each batch is applied exactly like one in-process
 //! `ingest_batch` call — pre-batched shard queries (one `QueryBatch`
-//! round trip per shard), one `ingest_batch_core`, then sequenced
+//! round trip per shard), one scoring-tier ingest, then sequenced
 //! per-shard `Insert` fan-out to **every** replica.
 //!
 //! # Failure semantics
@@ -58,8 +59,8 @@
 
 use crate::error::ServeError;
 use crate::replica::{FaultStats, NetConfig, ReplicaSet};
-use crate::service::{IngestReport, ResolutionService, ServeConfig};
-use flexer_block::{merge_candidates, plan_query, BlockerState};
+use crate::service::{IngestReport, Layout, ResolutionService, ServeConfig};
+use flexer_block::{merge_candidates, plan_query};
 use flexer_store::{read_message, read_message_bounded, write_message, ModelSnapshot, WireError};
 use flexer_types::{
     CandidateGenConfig, IntentId, ResolveQuery, ResolveResponse, RouterRequest, RouterResponse,
@@ -153,7 +154,7 @@ impl Router {
 
     /// [`Self::load`] from an already-loaded snapshot.
     pub fn from_snapshot(
-        mut snapshot: ModelSnapshot,
+        snapshot: ModelSnapshot,
         config: ServeConfig,
         shards: Vec<Vec<String>>,
         addr: impl ToSocketAddrs,
@@ -168,7 +169,7 @@ impl Router {
         }
         // The router needs only the backend *configuration* locally — the
         // blocking state itself lives in the shard servers.
-        let gen = match snapshot.sharding.take() {
+        let gen = match &snapshot.sharding {
             Some(frames) if frames.n_shards() == shards.len() => {
                 frames.decode_shard(0)?.1.gen_config()
             }
@@ -177,11 +178,10 @@ impl Router {
                     "snapshot shard count != shard server count".into(),
                 ))
             }
-            None => std::mem::replace(&mut snapshot.blocker, BlockerState::Exhaustive).gen_config(),
+            None => snapshot.blocker.gen_config(),
         };
-        snapshot.blocker = BlockerState::Exhaustive;
         let n_records = snapshot.records.len();
-        let service = ResolutionService::build(snapshot, config, false)?;
+        let service = ResolutionService::build(snapshot, config, Layout::Remote)?;
         let n_slots = shards.len();
         let mut sets = Vec::with_capacity(n_slots);
         let mut gram_counts: HashMap<u64, u32> = HashMap::new();
@@ -373,7 +373,7 @@ fn apply_ingest(inner: &Inner, titles: &[String]) -> Vec<IngestReport> {
             }
         }
     };
-    let reports = core.service.ingest_batch_core(&title_refs, candidates, false);
+    let reports = core.service.ingest_with(&title_refs, candidates);
     // Grow the global blocking state: stop-gram counts locally, the
     // records themselves in their owning shards (global ids are the ones
     // the scoring tier just assigned).
@@ -466,18 +466,11 @@ fn resolve_one(
     intent: IntentId,
     top_k: usize,
 ) -> Result<ResolveResponse, ServeError> {
-    let t0 = Instant::now();
-    let deadline = t0 + inner.net.request_budget;
+    let deadline = Instant::now() + inner.net.request_budget;
     let core = inner.core.read().expect("router core lock");
-    let record_candidates = match query {
-        ResolveQuery::Record(title) => {
-            let _span = core.service.recorder().span("resolve.block");
-            Some(candidate_records(inner, &core, title, deadline))
-        }
-        _ => None,
-    };
-    let out = core.service.resolve_intents_with(query, &[intent], top_k, record_candidates);
-    core.service.note_resolve(t0);
+    let out = core.service.resolve_with(query, &[intent], top_k, |title| {
+        candidate_records(inner, &core, title, deadline)
+    });
     Ok(out?.pop().expect("one response per requested intent"))
 }
 
@@ -527,15 +520,7 @@ fn serve_connection(
                 match ingest_tx.send(IngestJob { titles, reply: reply_tx }) {
                     Ok(()) => match reply_rx.recv() {
                         Ok(reports) => RouterResponse::IngestBatch(
-                            reports
-                                .iter()
-                                .map(|r| WireIngestReport {
-                                    record: r.record as u64,
-                                    first_pair: r.first_pair as u64,
-                                    n_pairs: r.n_pairs as u64,
-                                    n_suppressed: r.n_suppressed as u64,
-                                })
-                                .collect(),
+                            reports.iter().map(WireIngestReport::from).collect(),
                         ),
                         Err(_) => RouterResponse::Error("ingest lane closed".into()),
                     },

@@ -8,9 +8,9 @@
 //! GNNs and pair indexes live in the router, which also owns every
 //! *global* blocking decision (stop-gram filtering, cross-shard merges).
 //! The shard runs exactly [`flexer_block::local_answer`] — the same
-//! function the in-process [`crate::ShardedResolutionService`] fans out
-//! to — so a networked deployment answers bit-identically by
-//! construction.
+//! function an in-process [`crate::ResolutionService`]'s N-shard blocking
+//! tier fans out to — so a networked deployment answers bit-identically
+//! by construction.
 //!
 //! Every inbound byte is untrusted: frames are length-capped and
 //! checksummed before decoding, and a connection that sends garbage gets

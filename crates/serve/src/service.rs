@@ -27,28 +27,50 @@
 //!
 //! # Candidate generation
 //!
-//! The service keeps the snapshot's incremental blocker
-//! ([`BlockerState`]) resident alongside the model. `ingest()` and
-//! record-level `resolve()` pair a new title only against its *blocked
-//! candidates* — O(candidates) instead of O(records) — and the blocker
-//! grows with every ingest. Blocking only selects which pairs are scored:
-//! a surviving pair's score is bit-identical to what the exhaustive path
-//! would produce, because both paths score against the same pre-ingest
-//! state. Set [`ServeConfig::exhaustive`] to bypass the blocker (the
-//! all-pairs parity baseline).
+//! The blocking tier is a [`ShardedBlocker`]: the record corpus and its
+//! incremental blocker state partitioned by a deterministic title router
+//! into N shard-local states. N = 1 is the monolithic case, and a
+//! monolithic snapshot loads as exactly that, without re-indexing;
+//! [`ResolutionService::sharded`] re-partitions into any N. `ingest()`
+//! and record-level `resolve()` pair a new title only against its
+//! *blocked candidates* — O(candidates) instead of O(records), fanned out
+//! over the shards via `flexer-par` and merged exactly — and the blocker
+//! grows with every ingest. Set [`ServeConfig::exhaustive`] to bypass the
+//! blocker (the all-pairs parity baseline).
+//!
+//! # What is sharded, and what is shared
+//!
+//! Only the blocking tier is partitioned. The scoring tier — frozen
+//! matchers and GNNs, the pinned per-depth node states, the per-layer ANN
+//! indexes over *pair* embeddings — is shared: candidate pairs reference
+//! records across shard boundaries, so pair-level state cannot be
+//! partitioned by record without changing which neighbourhoods a pair
+//! sees. That makes sharding a pure scale-out move: for any shard count
+//! every answer is **bit-identical**, because
+//!
+//! 1. the merged shard-local candidate sets equal the monolithic blocker's
+//!    candidate set exactly (global stop-gram coordination, `(distance,
+//!    global id)` ANN merges — see `flexer_block::shard`), and
+//! 2. blocking only selects which pairs are scored: every surviving pair
+//!    is scored by the same kernel against the same shared pre-batch
+//!    state, in the same order.
+//!
+//! This is asserted over shard counts and ingest orders by
+//! `tests/shard.rs` and `tests/proptests.rs`.
 
 use crate::arena::PinnedArena;
 use crate::cache::LruCache;
 use crate::error::ServeError;
 use crate::metrics::{MetricsInner, ServeMetrics};
 use flexer_ann::{AnyIndex, VectorIndex};
-use flexer_block::{BlockerState, ShardedBlocker};
+use flexer_block::ShardedBlocker;
 use flexer_graph::{BatchInductiveTrace, InductiveTrace, NeighborArena, RowSource};
 use flexer_nn::{Matrix, SparseMatrix};
 use flexer_obs::{Counter, MetricsSnapshot, Recorder};
 use flexer_store::{ModelSnapshot, ShardFrames};
 use flexer_types::{
     DenseRecordId, IntentId, MatchTarget, RankedMatch, ResolveQuery, ResolveResponse, ShardConfig,
+    WireIngestReport,
 };
 use std::cell::RefCell;
 use std::path::Path;
@@ -61,10 +83,6 @@ use std::time::Instant;
 pub struct ServeConfig {
     /// Capacity of the hot pair-embedding LRU cache.
     pub cache_capacity: usize,
-    /// Unused since the latency window became a cumulative streaming
-    /// histogram (`flexer-obs`); retained so existing config literals keep
-    /// compiling.
-    pub latency_window: usize,
     /// Bypass the blocker and pair new titles against **every** stored
     /// record (quadratic). The explicit fallback for parity testing the
     /// blocked path against; off by default.
@@ -80,12 +98,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            cache_capacity: 1024,
-            latency_window: 1024,
-            exhaustive: false,
-            reference_scoring: false,
-        }
+        Self { cache_capacity: 1024, exhaustive: false, reference_scoring: false }
     }
 }
 
@@ -113,6 +126,17 @@ pub struct IngestReport {
     pub n_pairs: usize,
     /// Pre-existing records the blocker pruned (0 when exhaustive).
     pub n_suppressed: usize,
+}
+
+impl From<&IngestReport> for WireIngestReport {
+    fn from(r: &IngestReport) -> Self {
+        Self {
+            record: r.record as u64,
+            first_pair: r.first_pair as u64,
+            n_pairs: r.n_pairs as u64,
+            n_suppressed: r.n_suppressed as u64,
+        }
+    }
 }
 
 /// Per-intent pair embedding of one (a, b) title pair: a `P × dim` matrix
@@ -163,14 +187,17 @@ pub struct ResolutionService {
     n_train_records: usize,
     /// Serving-tier corpus: snapshot records plus everything ingested.
     records: Vec<String>,
-    /// The candidate-generation tier: incremental blocker over `records`;
-    /// grows with ingest.
-    blocker: BlockerState,
-    /// The shard layout the loaded snapshot carried (v3), if any. The
-    /// frames themselves are **not** kept resident — that would hold a
-    /// second, serialized copy of the blocker tier — they are regenerated
-    /// deterministically by `to_snapshot`.
-    train_sharding: Option<ShardConfig>,
+    /// The candidate-generation tier: the blocker over `records`,
+    /// partitioned into N shards; grows with ingest. `None` only in the
+    /// router's scoring tier: the router's shard fan-out supplies the
+    /// candidates.
+    blocker: Option<ShardedBlocker>,
+    /// Whether `to_snapshot` writes the blocking tier as per-shard frames
+    /// (the service was loaded from frames or built sharded) instead of
+    /// the monolithic field. The frames are not kept resident — that
+    /// would hold a second, serialized copy of the blocker — they are
+    /// regenerated from the live state.
+    emit_frames: bool,
     /// Serving-tier candidate pairs (dense record-id refs), pair-id order.
     pairs: Vec<(DenseRecordId, DenseRecordId)>,
     /// Per intent layer: ANN index over initial representations; grows
@@ -201,26 +228,50 @@ pub struct ResolutionService {
     ctr_resolve_candidates: Counter,
 }
 
+/// Where a service's blocking tier comes from.
+pub(crate) enum Layout {
+    /// The snapshot's own layout: v3 frames keep their shard count, a
+    /// monolithic blocker becomes the single shard of an N = 1 tier.
+    Loaded,
+    /// Partitioned under this config: frames that already match it are
+    /// decoded as they are, anything else is re-partitioned.
+    Sharded(ShardConfig),
+    /// No local blocking tier: the router's shard fan-out supplies the
+    /// candidates.
+    Remote,
+}
+
 impl ResolutionService {
     /// Builds a service from a validated snapshot: runs the warm forward
     /// per intent, pins the per-depth node states, and verifies the
     /// recomputed scores reproduce the snapshot's batch scores exactly.
     ///
-    /// A shard-aware (v3) snapshot is served monolithically here: its
-    /// per-shard frames are decoded and merged back into one resident
-    /// blocker (the merge is exact — see `flexer_block::ShardedBlocker`).
-    /// Use `ShardedResolutionService` to keep the partitioned layout.
+    /// The blocking tier keeps the snapshot's layout: a shard-aware (v3)
+    /// snapshot is served over its N frames, a monolithic one as a
+    /// single shard. Use [`Self::sharded`] to pick the shard count.
     pub fn new(snapshot: ModelSnapshot, config: ServeConfig) -> Result<Self, ServeError> {
-        Self::build(snapshot, config, true)
+        Self::build(snapshot, config, Layout::Loaded)
     }
 
-    /// `new`, with the frame merge optional: the sharded wrapper keeps the
-    /// blocking tier in its own `ShardedBlocker` and must not pay for (or
-    /// hold) a second, monolithic copy.
+    /// Builds a service whose blocking tier is partitioned into
+    /// `shard_config.n_shards` shards. A v3 snapshot whose frames already
+    /// match boots from them directly; any other snapshot — monolithic,
+    /// or sharded differently — is re-partitioned by routing the corpus
+    /// titles, which is exact and deterministic. [`Self::to_snapshot`]
+    /// then writes this layout's frames.
+    pub fn sharded(
+        snapshot: ModelSnapshot,
+        config: ServeConfig,
+        shard_config: ShardConfig,
+    ) -> Result<Self, ServeError> {
+        shard_config.validate().map_err(ServeError::InconsistentSnapshot)?;
+        Self::build(snapshot, config, Layout::Sharded(shard_config))
+    }
+
     pub(crate) fn build(
         mut snapshot: ModelSnapshot,
         config: ServeConfig,
-        merge_sharding: bool,
+        layout: Layout,
     ) -> Result<Self, ServeError> {
         snapshot.validate()?;
         let p_intents = snapshot.n_intents();
@@ -267,24 +318,41 @@ impl ResolutionService {
             scores.push(recomputed);
         }
 
-        // The service takes ownership of the ANN indexes and the blocker
-        // (they grow with ingest); `to_snapshot` reconstructs the
+        // The service takes ownership of the ANN indexes and the blocking
+        // tier (they grow with ingest); `to_snapshot` reconstructs the
         // training-time prefix on demand. Keeping second copies inside
         // `self.snapshot` would double the dominant memory cost at scale.
         let indexes = std::mem::take(&mut snapshot.indexes);
-        let mut blocker = std::mem::replace(&mut snapshot.blocker, BlockerState::Exhaustive);
-        // The frames are not kept resident either — they are a serialized
-        // second copy of the blocker tier; `to_snapshot` regenerates them
-        // from the live state and the remembered layout.
-        let train_sharding = match snapshot.sharding.take() {
-            Some(frames) => {
-                let config = frames.config();
-                if merge_sharding {
-                    blocker = frames.decode_all()?.merged();
-                }
-                Some(config)
+        let frames = snapshot.sharding.take();
+        let monolithic = snapshot.take_blocker();
+        let (blocker, emit_frames) = match (layout, frames) {
+            (Layout::Remote, _) => (None, false),
+            (Layout::Loaded, Some(frames)) => (Some(frames.decode_all()?), true),
+            (Layout::Loaded, None) => {
+                let n = snapshot.records.len();
+                let single = ShardedBlocker::from_parts(
+                    ShardConfig::of(1),
+                    vec![monolithic],
+                    vec![(0..n as u32).collect()],
+                    n,
+                )
+                .map_err(ServeError::InconsistentSnapshot)?;
+                (Some(single), false)
             }
-            None => None,
+            (Layout::Sharded(shards), Some(frames)) if frames.config() == shards => {
+                (Some(frames.decode_all()?), true)
+            }
+            (Layout::Sharded(shards), frames) => {
+                // Only the backend config is needed, so one decoded shard
+                // (or the monolithic blocker) supplies it; nothing is
+                // merged just to be thrown away.
+                let gen = match frames {
+                    Some(frames) => frames.decode_shard(0)?.1.gen_config(),
+                    None => monolithic.gen_config(),
+                };
+                let titles = snapshot.records.iter().map(String::as_str);
+                (Some(ShardedBlocker::build(&gen, shards, titles)), true)
+            }
         };
         let recorder = flexer_obs::global().clone();
         let ctr_forward_rows = recorder.counter("serve.forward.rows");
@@ -294,7 +362,7 @@ impl ResolutionService {
             n_train_records: snapshot.records.len(),
             records: snapshot.records.clone(),
             blocker,
-            train_sharding,
+            emit_frames,
             pairs: snapshot
                 .pairs
                 .iter()
@@ -326,8 +394,9 @@ impl ResolutionService {
 
     /// The training-time model state this service was built from (graph,
     /// matchers, trained GNNs, corpus metadata). The `indexes` field is
-    /// **empty** here and `sharding` is `None` — the service owns the
-    /// growing ANN indexes and blocker tier; use [`Self::to_snapshot`] or
+    /// **empty** here and the blocker tier is absent (`blocker` is
+    /// `Exhaustive`, `sharding` is `None`) — the service owns the growing
+    /// ANN indexes and blocking tier; use [`Self::to_snapshot`] or
     /// [`Self::save`] for a complete snapshot.
     pub fn snapshot(&self) -> &ModelSnapshot {
         &self.snapshot
@@ -336,29 +405,22 @@ impl ResolutionService {
     /// Reassembles the complete training-time snapshot. Ingested
     /// records/pairs are serving-tier state and are *not* part of it
     /// (index and blocker contents are truncated back to the training
-    /// watermarks), so the result is always byte-identical to the
-    /// snapshot loaded.
+    /// watermarks), so the result is byte-identical to the snapshot
+    /// loaded — unless [`Self::sharded`] re-partitioned it, which is a
+    /// new (itself byte-stable) layout. The blocking tier is written as
+    /// per-shard frames when the service was loaded from frames or built
+    /// sharded, as the monolithic field otherwise.
     pub fn to_snapshot(&self) -> ModelSnapshot {
         let mut snapshot = self.snapshot.clone();
         snapshot.indexes = self.indexes.iter().map(|i| i.truncated(self.n_train_pairs)).collect();
-        // Shard-aware snapshots carry the blocker tier only as per-shard
-        // frames (the monolithic field stays the canonical Exhaustive
-        // sentinel). The frames are regenerated, not kept resident:
-        // routing the training-time titles reproduces the loaded layout —
-        // and therefore the loaded bytes — exactly.
-        match self.train_sharding {
-            Some(config) => {
-                let sharded = ShardedBlocker::build(
-                    &self.blocker.gen_config(),
-                    config,
-                    self.records[..self.n_train_records].iter().map(|r| r.as_str()),
-                );
-                snapshot.sharding = Some(ShardFrames::from_blocker(&sharded));
-                snapshot.blocker = BlockerState::Exhaustive;
-            }
-            None => {
-                snapshot.sharding = None;
-                snapshot.blocker = self.blocker.truncated(self.n_train_records);
+        if let Some(blocker) = &self.blocker {
+            if self.emit_frames {
+                let truncated = blocker.truncated(self.n_train_records);
+                snapshot.sharding = Some(ShardFrames::from_blocker(&truncated));
+            } else {
+                // A monolithic load is a single shard whose local ids are
+                // the global ids.
+                snapshot.blocker = blocker.shards()[0].truncated(self.n_train_records);
             }
         }
         snapshot
@@ -395,11 +457,33 @@ impl ResolutionService {
     /// (`"exhaustive"` when [`ServeConfig::exhaustive`] bypasses the
     /// snapshot's blocker).
     pub fn blocker_kind(&self) -> &'static str {
-        if self.config.exhaustive {
-            "exhaustive"
-        } else {
-            self.blocker.kind_name()
+        match &self.blocker {
+            Some(blocker) if !self.config.exhaustive => blocker.kind_name(),
+            _ => "exhaustive",
         }
+    }
+
+    /// The partitioned blocking tier (a router's scoring tier has none).
+    fn blocking_tier(&self) -> &ShardedBlocker {
+        self.blocker.as_ref().expect("a local service always holds its blocking tier")
+    }
+
+    /// Number of shards in the blocking tier (1 for a monolithic load).
+    pub fn n_shards(&self) -> usize {
+        self.blocking_tier().n_shards()
+    }
+
+    /// Records held by each shard (balance diagnostics).
+    pub fn shard_sizes(&self) -> Vec<usize> {
+        self.blocking_tier().shard_sizes()
+    }
+
+    /// Shard-local candidate counts for a title — the per-shard work a
+    /// candidate query costs, before the merge. Sums to the global
+    /// candidate count (`None` for exhaustive blocking, where shards hold
+    /// no state).
+    pub fn local_candidate_counts(&self, title: &str) -> Option<Vec<usize>> {
+        self.blocking_tier().local_candidate_counts(title)
     }
 
     /// Number of intents `P`.
@@ -455,12 +539,6 @@ impl ResolutionService {
         self.recorder.snapshot()
     }
 
-    /// Records one resolve latency sample (the sharded front-end times its
-    /// own fan-out/merge and reports through the shared counters).
-    pub(crate) fn note_resolve(&self, t0: Instant) {
-        self.metrics.lock().expect("metrics lock").record_resolve(t0.elapsed());
-    }
-
     /// Resolves one query under one intent, returning up to `top_k`
     /// ranked candidates (pair queries return a single candidate).
     pub fn resolve(
@@ -469,11 +547,7 @@ impl ResolutionService {
         intent: IntentId,
         top_k: usize,
     ) -> Result<ResolveResponse, ServeError> {
-        let t0 = Instant::now();
-        // Errors count as resolves too (same as the all-intents path), so
-        // the counters stay comparable across endpoints.
-        let out = self.resolve_intents(query, &[intent], top_k);
-        self.metrics.lock().expect("metrics lock").record_resolve(t0.elapsed());
+        let out = self.resolve_with(query, &[intent], top_k, |t| self.candidate_records(t));
         Ok(out?.pop().expect("one response per requested intent"))
     }
 
@@ -484,11 +558,8 @@ impl ResolutionService {
         query: &ResolveQuery,
         top_k: usize,
     ) -> Result<Vec<ResolveResponse>, ServeError> {
-        let t0 = Instant::now();
         let intents: Vec<IntentId> = (0..self.n_intents()).collect();
-        let out = self.resolve_intents(query, &intents, top_k);
-        self.metrics.lock().expect("metrics lock").record_resolve(t0.elapsed());
-        out
+        self.resolve_with(query, &intents, top_k, |t| self.candidate_records(t))
     }
 
     /// Resolves a batch of queries under one intent, fanning out across
@@ -517,13 +588,7 @@ impl ResolutionService {
     /// the same service state produce bit-identical scores on the pairs
     /// both create.
     pub fn ingest(&mut self, title: &str) -> IngestReport {
-        let candidates = {
-            let _span = self.recorder.span("ingest.block");
-            self.candidate_records(title)
-        };
-        self.ingest_batch_core(&[title], vec![candidates], true)
-            .pop()
-            .expect("one report per ingested title")
+        self.ingest_batch(&[title]).pop().expect("one report per ingested title")
     }
 
     /// Ingests a batch of records that arrived **together**: every title's
@@ -535,7 +600,7 @@ impl ResolutionService {
     /// The batch is *simultaneous*, not a shorthand for sequential
     /// [`ResolutionService::ingest`] calls: scoring against the pre-batch
     /// state is what makes every title's phase-1 work independent (hence
-    /// parallel), and it is the semantics the sharded service reproduces
+    /// parallel), and it is the semantics a networked router reproduces
     /// bit-identically for any shard count. Results are bit-identical at
     /// any thread count, and a singleton batch is exactly `ingest`.
     pub fn ingest_batch(&mut self, titles: &[&str]) -> Vec<IngestReport> {
@@ -543,18 +608,19 @@ impl ResolutionService {
             let _span = self.recorder.span("ingest.block");
             flexer_par::parallel_map(titles.len(), |i| self.candidate_records(titles[i]))
         };
-        self.ingest_batch_core(titles, candidates, true)
+        self.ingest_with(titles, candidates)
     }
 
-    /// Shared ingest machinery: phase 1 scores every title's candidate
-    /// pairs against the pre-batch state in parallel; phase 2 applies the
-    /// mutations serially in input order. `update_blocker` is false when
-    /// the caller owns the blocking tier (the sharded service).
-    pub(crate) fn ingest_batch_core(
+    /// Ingests a batch whose per-title candidate records were generated
+    /// against the pre-batch corpus — by this service's blocking tier, or
+    /// by the router's shard fan-out. Phase 1 scores every title's
+    /// candidate pairs against the pre-batch state in parallel; phase 2
+    /// applies the mutations serially in input order, and the blocking
+    /// tier (if held locally) absorbs the titles.
+    pub(crate) fn ingest_with(
         &mut self,
         titles: &[&str],
         candidates: Vec<Vec<usize>>,
-        update_blocker: bool,
     ) -> Vec<IngestReport> {
         debug_assert_eq!(titles.len(), candidates.len());
         let pre_batch_records = self.records.len();
@@ -584,10 +650,12 @@ impl ResolutionService {
             for ((&title, cands), (embeddings, batch)) in titles.iter().zip(&candidates).zip(scored)
             {
                 reports.push(self.apply_scored(title, cands, embeddings, batch, pre_batch_records));
-                if update_blocker {
-                    self.blocker.insert(title);
-                }
                 self.metrics.lock().expect("metrics lock").record_ingest();
+            }
+            // Global ids are assigned in input order, matching the record
+            // ids `apply_scored` just handed out.
+            if let Some(blocker) = &mut self.blocker {
+                blocker.insert_batch(titles);
             }
         }
         self.recorder
@@ -688,17 +756,34 @@ impl ResolutionService {
     // Internals
     // ------------------------------------------------------------------
 
-    /// The record ids a new title is paired against: the blocker's
-    /// candidates, or every stored record when the blocker is exhaustive
-    /// or bypassed by [`ServeConfig::exhaustive`].
-    pub(crate) fn candidate_records(&self, title: &str) -> Vec<usize> {
-        if self.config.exhaustive {
-            return (0..self.records.len()).collect();
+    /// The record ids a new title is paired against: the shard fan-out /
+    /// merge, or every stored record when the backend is exhaustive or
+    /// bypassed by [`ServeConfig::exhaustive`].
+    fn candidate_records(&self, title: &str) -> Vec<usize> {
+        match &self.blocker {
+            Some(blocker) if !self.config.exhaustive => {
+                blocker.candidates(title).unwrap_or_else(|| (0..self.records.len()).collect())
+            }
+            _ => (0..self.records.len()).collect(),
         }
-        match self.blocker.candidates(title) {
-            None => (0..self.records.len()).collect(),
-            Some(c) => c,
-        }
+    }
+
+    /// Resolves `query` under `intents`, drawing a record query's
+    /// candidate records from `candidates` — this service's blocking tier,
+    /// or the router's shard fan-out, which is bit-identical for any shard
+    /// count. Records one latency sample; errors count as resolves too,
+    /// so the counters stay comparable across endpoints.
+    pub(crate) fn resolve_with(
+        &self,
+        query: &ResolveQuery,
+        intents: &[IntentId],
+        top_k: usize,
+        candidates: impl FnOnce(&str) -> Vec<usize>,
+    ) -> Result<Vec<ResolveResponse>, ServeError> {
+        let t0 = Instant::now();
+        let out = self.resolve_intents(query, intents, top_k, candidates);
+        self.metrics.lock().expect("metrics lock").record_resolve(t0.elapsed());
+        out
     }
 
     fn resolve_intents(
@@ -706,20 +791,7 @@ impl ResolutionService {
         query: &ResolveQuery,
         intents: &[IntentId],
         top_k: usize,
-    ) -> Result<Vec<ResolveResponse>, ServeError> {
-        self.resolve_intents_with(query, intents, top_k, None)
-    }
-
-    /// [`Self::resolve_intents`] with the record-query candidate set
-    /// optionally supplied by the caller — the sharded service passes its
-    /// fan-out/merge result here, which is bit-identical to this service's
-    /// own blocker for any shard count. Pair queries ignore the override.
-    pub(crate) fn resolve_intents_with(
-        &self,
-        query: &ResolveQuery,
-        intents: &[IntentId],
-        top_k: usize,
-        record_candidates: Option<Vec<usize>>,
+        candidates: impl FnOnce(&str) -> Vec<usize>,
     ) -> Result<Vec<ResolveResponse>, ServeError> {
         let p_total = self.n_intents();
         for &p in intents {
@@ -780,14 +852,10 @@ impl ResolutionService {
             ResolveQuery::Record(title) => {
                 // Query-driven collective ER: pair the query against its
                 // blocked candidates (every served record when exhaustive)
-                // and rank. The sharded front-end passes its own fan-out
-                // result in (and times it under the same span path).
-                let candidates = match record_candidates {
-                    Some(c) => c,
-                    None => {
-                        let _span = self.recorder.span("resolve.block");
-                        self.candidate_records(title)
-                    }
+                // and rank.
+                let candidates = {
+                    let _span = self.recorder.span("resolve.block");
+                    candidates(title)
                 };
                 self.ctr_resolve_candidates.add(candidates.len() as u64);
                 let titles: Vec<(&str, &str)> = candidates

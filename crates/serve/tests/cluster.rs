@@ -1,14 +1,12 @@
 //! Networked cluster smoke tests: a router plus shard servers over real
 //! TCP sockets (in-process, ephemeral ports) answer **bit-identically**
-//! to the in-process [`ShardedResolutionService`] under the same snapshot
+//! to an in-process sharded [`ResolutionService`] under the same snapshot
 //! and call sequence, degrade per shard instead of failing whole queries,
 //! and survive corrupt bytes from clients.
 
 use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
 use flexer_datasets::AmazonMiConfig;
-use flexer_serve::{
-    NetConfig, Router, RouterClient, ServeConfig, ShardServer, ShardedResolutionService,
-};
+use flexer_serve::{NetConfig, ResolutionService, Router, RouterClient, ServeConfig, ShardServer};
 use flexer_store::{IndexKind, ModelSnapshot};
 use flexer_types::{
     ResolveQuery, Scale, ShardConfig, ShardRequest, ShardResponse, WireIngestReport,
@@ -25,7 +23,7 @@ fn sharded_snapshot() -> &'static ModelSnapshot {
         let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
         let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).unwrap();
         let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap();
-        ShardedResolutionService::new(snapshot, ServeConfig::default(), ShardConfig::of(2))
+        ResolutionService::sharded(snapshot, ServeConfig::default(), ShardConfig::of(2))
             .unwrap()
             .to_snapshot()
     })
@@ -85,25 +83,24 @@ fn kill_shard(addr: &str) {
 }
 
 fn as_wire(reports: &[flexer_serve::IngestReport]) -> Vec<WireIngestReport> {
-    reports
-        .iter()
-        .map(|r| WireIngestReport {
-            record: r.record as u64,
-            first_pair: r.first_pair as u64,
-            n_pairs: r.n_pairs as u64,
-            n_suppressed: r.n_suppressed as u64,
-        })
-        .collect()
+    reports.iter().map(WireIngestReport::from).collect()
 }
 
 #[test]
 fn networked_router_is_bit_identical_to_in_process_sharded_service() {
+    // The 2-shard deployment must answer exactly like an in-process
+    // service over ANY shard count, not only its own layout.
     let snapshot = sharded_snapshot();
-    let mut reference =
-        ShardedResolutionService::new(snapshot.clone(), ServeConfig::default(), ShardConfig::of(2))
-            .unwrap();
+    let mut references: Vec<ResolutionService> = [1usize, 2, 5]
+        .into_iter()
+        .map(|n| {
+            ResolutionService::sharded(snapshot.clone(), ServeConfig::default(), ShardConfig::of(n))
+                .unwrap()
+        })
+        .collect();
     let (mut client, _, _) = boot_cluster();
 
+    let reference = &references[0];
     let (n_shards, n_records, n_intents) = client.hello().unwrap();
     assert_eq!(n_shards, 2);
     assert_eq!(n_records as usize, reference.n_records());
@@ -117,43 +114,50 @@ fn networked_router_is_bit_identical_to_in_process_sharded_service() {
         ResolveQuery::record("completely unrelated zzzz qqqq"),
     ];
     let top_all = reference.n_records();
+    let n_intents = reference.n_intents();
 
     // Cold resolves, every query × every intent.
     for query in &queries {
-        for intent in 0..reference.n_intents() {
+        for intent in 0..n_intents {
             let over_wire = client.resolve(query.clone(), intent, top_all).unwrap().unwrap();
-            let in_process = reference.resolve(query, intent, top_all).unwrap();
-            assert_eq!(over_wire, in_process, "pre-ingest {query:?} intent {intent}");
+            for reference in &references {
+                let in_process = reference.resolve(query, intent, top_all).unwrap();
+                assert_eq!(over_wire, in_process, "pre-ingest {query:?} intent {intent}");
+            }
         }
     }
 
     // The same ingest sequence through the single-writer lane: identical
     // reports (records, pair ids, candidate/suppression counts).
     let titles: Vec<String> = (0..4)
-        .map(|i| format!("{} listing {i}", reference.record_title(i * 3)))
+        .map(|i| format!("{} listing {i}", references[0].record_title(i * 3)))
         .chain(["completely unrelated zzzz qqqq".to_string(), String::new()])
         .collect();
     let title_refs: Vec<&str> = titles.iter().map(String::as_str).collect();
     let over_wire = client.ingest_batch(titles.clone()).unwrap();
-    let in_process = reference.ingest_batch(&title_refs);
-    assert_eq!(over_wire, as_wire(&in_process), "ingest reports");
+    for reference in &mut references {
+        let in_process = reference.ingest_batch(&title_refs);
+        assert_eq!(over_wire, as_wire(&in_process), "ingest reports");
+    }
 
     // Warm resolves over the grown corpus, single and batched.
-    let top_all = reference.n_records();
-    for intent in 0..reference.n_intents() {
+    let top_all = references[0].n_records();
+    for intent in 0..n_intents {
         let over_wire = client.resolve_batch(queries.clone(), intent, top_all).unwrap();
-        let in_process: Vec<Result<_, String>> = reference
-            .resolve_batch(&queries, intent, top_all)
-            .into_iter()
-            .map(|r| r.map_err(|e| e.to_string()))
-            .collect();
-        assert_eq!(over_wire, in_process, "post-ingest batch, intent {intent}");
+        for reference in &references {
+            let in_process: Vec<Result<_, String>> = reference
+                .resolve_batch(&queries, intent, top_all)
+                .into_iter()
+                .map(|r| r.map_err(|e| e.to_string()))
+                .collect();
+            assert_eq!(over_wire, in_process, "post-ingest batch, intent {intent}");
+        }
     }
 
     // Serving errors travel as errors, not hangs or panics.
     let bad = client.resolve(ResolveQuery::CorpusPair(usize::MAX), 0, 3).unwrap();
     assert!(bad.is_err());
-    let bad = client.resolve(ResolveQuery::record("x"), reference.n_intents(), 3).unwrap();
+    let bad = client.resolve(ResolveQuery::record("x"), n_intents, 3).unwrap();
     assert!(bad.is_err());
 
     // Clean shutdown tears the shard servers down too.
@@ -186,7 +190,7 @@ fn dead_shard_degrades_its_candidates_only() {
 fn killing_one_replica_per_shard_keeps_answers_bit_identical() {
     let snapshot = sharded_snapshot();
     let mut reference =
-        ShardedResolutionService::new(snapshot.clone(), ServeConfig::default(), ShardConfig::of(2))
+        ResolutionService::sharded(snapshot.clone(), ServeConfig::default(), ShardConfig::of(2))
             .unwrap();
     let (mut client, _, groups) = boot_replicated(2);
 

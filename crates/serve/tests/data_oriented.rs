@@ -6,7 +6,7 @@
 
 use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
 use flexer_datasets::AmazonMiConfig;
-use flexer_serve::{ResolutionService, ServeConfig, ShardedResolutionService};
+use flexer_serve::{ResolutionService, ServeConfig};
 use flexer_store::{IndexKind, ModelSnapshot};
 use flexer_types::{ResolveQuery, Scale, ShardConfig};
 
@@ -62,17 +62,6 @@ fn query_mix(svc: &ResolutionService) -> Vec<ResolveQuery> {
 fn drive(svc: &ResolutionService) -> Vec<flexer_types::ResolveResponse> {
     let mut out = Vec::new();
     for q in query_mix(svc) {
-        out.extend(svc.resolve_all_intents(&q, 10).unwrap());
-    }
-    out
-}
-
-/// Like [`drive`], but resolving through the shard wrapper so record
-/// queries use the sharded blocking tier (the inner service's own blocker
-/// slot is exhaustive by construction).
-fn drive_sharded(svc: &ShardedResolutionService) -> Vec<flexer_types::ResolveResponse> {
-    let mut out = Vec::new();
-    for q in query_mix(svc.service()) {
         out.extend(svc.resolve_all_intents(&q, 10).unwrap());
     }
     out
@@ -136,7 +125,7 @@ fn sharded_service_matches_reference_for_every_shard_count() {
     let ref_reports = titles.map(|t| reference.ingest(t));
     let ref_responses = drive(&reference);
     for n_shards in [1usize, 2, 5] {
-        let mut sharded = ShardedResolutionService::new(
+        let mut sharded = ResolutionService::sharded(
             snapshot.clone(),
             ServeConfig::default(),
             ShardConfig::of(n_shards),
@@ -145,7 +134,7 @@ fn sharded_service_matches_reference_for_every_shard_count() {
         let reports = titles.map(|t| sharded.ingest(t));
         assert_eq!(reports, ref_reports, "{n_shards}-shard ingest reports diverge");
         assert_eq!(
-            drive_sharded(&sharded),
+            drive(&sharded),
             ref_responses,
             "{n_shards}-shard batched responses diverge from the unsharded reference kernel"
         );
@@ -167,15 +156,15 @@ fn packed_kernels_toggle_is_invisible_across_shard_counts() {
     flexer_nn::kernels::set_packed_kernels(true);
     assert_eq!(packed, naive, "packed kernels change a resolve response bit");
     for n_shards in [1usize, 2, 5] {
-        let sharded = ShardedResolutionService::new(
+        let sharded = ResolutionService::sharded(
             snapshot.clone(),
             ServeConfig::default(),
             ShardConfig::of(n_shards),
         )
         .unwrap();
-        let with_packed = drive_sharded(&sharded);
+        let with_packed = drive(&sharded);
         flexer_nn::kernels::set_packed_kernels(false);
-        let without = drive_sharded(&sharded);
+        let without = drive(&sharded);
         flexer_nn::kernels::set_packed_kernels(true);
         assert_eq!(with_packed, without, "{n_shards}-shard packed/naive divergence");
     }

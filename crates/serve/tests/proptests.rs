@@ -5,7 +5,7 @@
 
 use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
 use flexer_datasets::AmazonMiConfig;
-use flexer_serve::{ResolutionService, ServeConfig, ShardedResolutionService};
+use flexer_serve::{ResolutionService, ServeConfig};
 use flexer_store::{IndexKind, ModelSnapshot};
 use flexer_types::{ResolveQuery, Scale, ShardConfig};
 use proptest::prelude::*;
@@ -79,7 +79,7 @@ proptest! {
         let snapshot = trained_snapshot();
         let mut mono =
             ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
-        let mut sharded = ShardedResolutionService::new(
+        let mut sharded = ResolutionService::sharded(
             snapshot.clone(),
             ServeConfig::default(),
             ShardConfig::of(n_shards),

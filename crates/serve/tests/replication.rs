@@ -11,8 +11,8 @@
 use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
 use flexer_datasets::AmazonMiConfig;
 use flexer_serve::{
-    FaultMode, FaultProxy, NetConfig, Router, RouterClient, ServeConfig, ShardServer,
-    ShardedResolutionService,
+    FaultMode, FaultProxy, NetConfig, ResolutionService, Router, RouterClient, ServeConfig,
+    ShardServer,
 };
 use flexer_store::{IndexKind, ModelSnapshot};
 use flexer_types::{ResolveQuery, Scale, ShardConfig, ShardRequest, ShardResponse};
@@ -30,7 +30,7 @@ fn single_shard_snapshot() -> &'static ModelSnapshot {
         let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
         let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).unwrap();
         let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap();
-        ShardedResolutionService::new(snapshot, ServeConfig::default(), ShardConfig::of(1))
+        ResolutionService::sharded(snapshot, ServeConfig::default(), ShardConfig::of(1))
             .unwrap()
             .to_snapshot()
     })
@@ -117,7 +117,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let snapshot = single_shard_snapshot();
-        let mut reference = ShardedResolutionService::new(
+        let mut reference = ResolutionService::sharded(
             snapshot.clone(),
             ServeConfig::default(),
             ShardConfig::of(1),
@@ -181,7 +181,7 @@ proptest! {
 fn stalled_replica_fails_over_within_one_io_quantum() {
     let snapshot = single_shard_snapshot();
     let reference =
-        ShardedResolutionService::new(snapshot.clone(), ServeConfig::default(), ShardConfig::of(1))
+        ResolutionService::sharded(snapshot.clone(), ServeConfig::default(), ShardConfig::of(1))
             .unwrap();
     let ProxiedCluster { mut client, proxy, direct_addr: _ } = boot_proxied(7);
     let net = test_net();

@@ -1,11 +1,11 @@
-//! Sharded serving tests: for any shard count the sharded service is
-//! **bit-identical** to the unsharded one under the same call sequence,
-//! batched ingest has pre-batch semantics, and shard-aware snapshots
-//! round-trip byte-identically.
+//! Sharded serving tests: for any shard count N, a service whose blocking
+//! tier has N shards is **bit-identical** to the monolithic load (N = 1)
+//! under the same call sequence, batched ingest has pre-batch semantics,
+//! and shard-aware snapshots round-trip byte-identically.
 
 use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
 use flexer_datasets::AmazonMiConfig;
-use flexer_serve::{ResolutionService, ServeConfig, ShardedResolutionService};
+use flexer_serve::{ResolutionService, ServeConfig};
 use flexer_store::{IndexKind, ModelSnapshot};
 use flexer_types::{ResolveQuery, Scale, ShardConfig};
 
@@ -36,6 +36,7 @@ fn ingest_titles(svc: &ResolutionService) -> Vec<String> {
 fn sharded_service_is_bit_identical_for_any_shard_count() {
     let snapshot = trained_snapshot();
     let mut mono = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+    assert_eq!(mono.n_shards(), 1, "a monolithic snapshot loads as a single shard");
     let titles = ingest_titles(&mono);
     let (singles, batch) = titles.split_at(3);
     let batch: Vec<&str> = batch.iter().map(|t| t.as_str()).collect();
@@ -43,7 +44,7 @@ fn sharded_service_is_bit_identical_for_any_shard_count() {
     let mono_batch_reports = mono.ingest_batch(&batch);
 
     for n_shards in [1usize, 2, 5] {
-        let mut sharded = ShardedResolutionService::new(
+        let mut sharded = ResolutionService::sharded(
             snapshot.clone(),
             ServeConfig::default(),
             ShardConfig::of(n_shards),
@@ -95,12 +96,9 @@ fn sharded_service_is_bit_identical_for_any_shard_count() {
 fn sharded_exhaustive_override_matches_unsharded() {
     let snapshot = trained_snapshot();
     let mut mono = ResolutionService::new(snapshot.clone(), ServeConfig::exhaustive()).unwrap();
-    let mut sharded = ShardedResolutionService::new(
-        snapshot.clone(),
-        ServeConfig::exhaustive(),
-        ShardConfig::of(3),
-    )
-    .unwrap();
+    let mut sharded =
+        ResolutionService::sharded(snapshot.clone(), ServeConfig::exhaustive(), ShardConfig::of(3))
+            .unwrap();
     assert_eq!(sharded.blocker_kind(), "exhaustive");
     let title = format!("{} v2", mono.record_title(0));
     assert_eq!(sharded.ingest(&title), mono.ingest(&title));
@@ -150,45 +148,44 @@ fn batched_ingest_scores_against_the_pre_batch_state() {
 fn sharded_snapshot_roundtrips_byte_identically_and_serves_everywhere() {
     let snapshot = trained_snapshot();
     let config = ServeConfig::default();
-    let sharded =
-        ShardedResolutionService::new(snapshot.clone(), config, ShardConfig::of(3)).unwrap();
+    let sharded = ResolutionService::sharded(snapshot.clone(), config, ShardConfig::of(3)).unwrap();
 
-    // The sharded snapshot is a v3 file: per-shard frames, Exhaustive
-    // blocker sentinel, byte-stable across save → load → save.
+    // The sharded snapshot is a v3 file: per-shard frames, an Exhaustive
+    // monolithic field, byte-stable across save → load → save.
     let v3 = sharded.to_snapshot();
     assert_eq!(v3.sharding.as_ref().unwrap().n_shards(), 3);
     let bytes = v3.to_bytes();
     let reloaded = ModelSnapshot::from_bytes(&bytes).unwrap();
     assert_eq!(reloaded.to_bytes(), bytes, "save → load → save must be byte-identical");
 
-    // Reloading as a sharded service (same shard count) reuses the frames
-    // and stays byte-stable, even after ingest grows the live shards.
+    // Reloading with the same shard count reuses the frames and stays
+    // byte-stable, even after ingest grows the live shards.
     let mut again =
-        ShardedResolutionService::new(reloaded.clone(), config, ShardConfig::of(3)).unwrap();
+        ResolutionService::sharded(reloaded.clone(), config, ShardConfig::of(3)).unwrap();
     assert_eq!(again.to_snapshot().to_bytes(), bytes);
     again.ingest("Ingested Sharded Gadget One");
     let title = format!("{} v2", again.record_title(1));
     again.ingest(&title);
     assert_eq!(again.to_snapshot().to_bytes(), bytes, "ingest must not leak into the snapshot");
 
-    // An unsharded service merges the frames and serves identical answers,
-    // and re-emits the sharded snapshot byte-identically (the frames are
-    // regenerated from the merged blocker, not kept resident).
+    // A plain load keeps the frames' shard count, serves identical
+    // answers, and re-emits the sharded snapshot byte-identically (the
+    // frames are regenerated from the live shards, not kept resident).
     let mono = ResolutionService::new(reloaded.clone(), config).unwrap();
-    assert_eq!(mono.blocker_kind(), "ngram", "merged frames restore the monolithic blocker");
-    assert_eq!(mono.to_snapshot().to_bytes(), bytes, "unsharded re-emit must be byte-identical");
+    assert_eq!(mono.n_shards(), 3, "a plain load keeps the v3 shard count");
+    assert_eq!(mono.blocker_kind(), "ngram", "the frames restore the q-gram blocker");
+    assert_eq!(mono.to_snapshot().to_bytes(), bytes, "plain re-emit must be byte-identical");
     let q = ResolveQuery::record(mono.record_title(3).to_string());
-    let sharded_fresh =
-        ShardedResolutionService::new(reloaded.clone(), config, ShardConfig::of(3)).unwrap();
+    let single = ResolutionService::sharded(reloaded.clone(), config, ShardConfig::of(1)).unwrap();
     assert_eq!(
         mono.resolve(&q, 0, 9).unwrap(),
-        sharded_fresh.resolve(&q, 0, 9).unwrap(),
-        "unsharded load of a sharded snapshot serves the same answers"
+        single.resolve(&q, 0, 9).unwrap(),
+        "a 3-shard load serves the same answers as a single-shard re-partition"
     );
 
     // Re-sharding to a different count is a deliberate re-partition: the
     // result is valid and itself byte-stable under its own layout.
-    let resharded = ShardedResolutionService::new(reloaded, config, ShardConfig::of(2)).unwrap();
+    let resharded = ResolutionService::sharded(reloaded, config, ShardConfig::of(2)).unwrap();
     let bytes2 = resharded.to_snapshot().to_bytes();
     let reloaded2 = ModelSnapshot::from_bytes(&bytes2).unwrap();
     assert_eq!(reloaded2.to_bytes(), bytes2);
@@ -199,7 +196,7 @@ fn sharded_snapshot_roundtrips_byte_identically_and_serves_everywhere() {
 fn sharded_batch_resolution_is_deterministic_across_thread_counts() {
     let snapshot = trained_snapshot();
     let sharded =
-        ShardedResolutionService::new(snapshot.clone(), ServeConfig::default(), ShardConfig::of(2))
+        ResolutionService::sharded(snapshot.clone(), ServeConfig::default(), ShardConfig::of(2))
             .unwrap();
     let queries: Vec<ResolveQuery> =
         (0..6).map(|i| ResolveQuery::record(sharded.record_title(i).to_string())).collect();

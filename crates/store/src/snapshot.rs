@@ -76,7 +76,7 @@ pub struct ModelSnapshot {
     /// `blocker` field (which must then be the [`BlockerState::Exhaustive`]
     /// sentinel — one canonical representation keeps round-trips
     /// byte-identical). Shard servers decode only their own frame; an
-    /// unsharded service merges the frames back on load.
+    /// in-process service decodes them all and keeps the shard count.
     pub sharding: Option<ShardFrames>,
 }
 
@@ -146,6 +146,14 @@ impl ModelSnapshot {
             }
         }
         Ok(())
+    }
+
+    /// Moves the monolithic blocker out, leaving the
+    /// [`BlockerState::Exhaustive`] field a shard-aware snapshot carries —
+    /// for a consumer that keeps the blocking tier itself (the serving
+    /// tier owns it and grows it with ingest).
+    pub fn take_blocker(&mut self) -> BlockerState {
+        std::mem::replace(&mut self.blocker, BlockerState::Exhaustive)
     }
 
     /// Serializes into a framed, checksummed `.flexer` byte stream.

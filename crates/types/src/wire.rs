@@ -18,7 +18,7 @@
 //!   index, with record ids already mapped back to global space.
 //! * **client ↔ router** ([`RouterRequest`]/[`RouterResponse`]): the
 //!   public resolve/ingest surface, mirroring the in-process
-//!   `ShardedResolutionService` API.
+//!   `ResolutionService` API.
 
 use crate::query::{ResolveQuery, ResolveResponse};
 

@@ -12,13 +12,13 @@
 //! ```
 
 use flexer::prelude::*;
+use flexer_block::{CandidateGenerator, NGramBlocker};
 use flexer_core::{clean_view, evaluate_on_split, InParallelModel, PipelineContext};
 use flexer_datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
 use flexer_datasets::intents::IntentDef;
 use flexer_datasets::mixture::blocked_benchmark;
 use flexer_datasets::perturb::NoiseConfig;
 use flexer_datasets::taxonomy::{amazonmi_spec, Taxonomy, TaxonomyConfig};
-use flexer_datasets::{CandidateGenerator, NGramBlocker};
 use flexer_matcher::MatcherConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

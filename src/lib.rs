@@ -17,7 +17,12 @@
 //! to answer "which entities match this record, under intent I?" at query
 //! time — exact transductive answers for stored pairs, frozen-weight
 //! inductive scoring (incremental ANN insert + local GNN forward) for new
-//! records, with an LRU embedding cache and p50/p99 latency counters.
+//! records, with an LRU embedding cache and p50/p99 latency counters. The
+//! same service serves every topology: its blocking tier is an N-shard
+//! [`block::ShardedBlocker`] (N = 1 for a monolithic snapshot, any N via
+//! [`serve::ResolutionService::sharded`]), bit-identical for every N, and
+//! a networked [`serve::Router`] fans its candidate queries out to shard
+//! server processes instead.
 //!
 //! # The `parallel` feature (on by default)
 //!
@@ -64,9 +69,7 @@ pub mod prelude {
     pub use flexer_core::prelude::*;
     pub use flexer_datasets::{AmazonMiConfig, WalmartAmazonConfig, WdcConfig};
     pub use flexer_eval::{BinaryReport, MultiIntentReport};
-    pub use flexer_serve::{
-        IngestReport, ResolutionService, ServeConfig, ServeMetrics, ShardedResolutionService,
-    };
+    pub use flexer_serve::{IngestReport, ResolutionService, ServeConfig, ServeMetrics};
     pub use flexer_store::{IndexKind, ModelSnapshot, ShardFrames};
     pub use flexer_types::{
         BlockingReport, CandidateGenConfig, CandidateSet, Dataset, EntityMap, Intent, IntentSet,
